@@ -1,19 +1,23 @@
-"""Cross-engine micro-benchmark for the vectorized executor core.
+"""Cross-engine micro-benchmark for the batch executor.
 
 Times the same scan-heavy statements three ways on identical data:
 
-* **row mode** — the classic tuple-at-a-time volcano loop;
-* **batch mode** — the ``next_batch`` protocol at a typical vector width
-  and at a large width (one ``next()`` call chain per *batch* instead of
-  per row, compiled filter/projection closures, bulk meter charges);
+* **width 1** — ``next_batch(1)`` all the way up: one operator call chain
+  per row, the tuple-at-a-time volcano loop;
+* **wide batches** — a typical vector width and a large one (one call
+  chain per *batch*, compiled filter/projection closures, bulk meter
+  charges);
 * **sqlite3** — the stdlib C engine on the same rows, as an external
   yardstick for where a Python interpreter loop stands.
 
 The acceptance gate is on the scan-heavy set (filter + projection scans):
-batch mode must process **at least 2x the rows/sec of row mode**.
+the best width must process **at least 2.5x the rows/sec of width 1**.
+Width 1 carries the batch protocol's per-call overhead (it runs at about
+0.8x the retired row-at-a-time loop on ``wide_scan``), so 2.5x over it is
+at least the 2x over that loop this gate used to demand.
 Aggregation- and sort-dominated statements are reported for context but
-not gated — their per-group/per-key Python work is the same in both modes,
-so batching only shaves the iterator call chain.
+not gated — their per-group/per-key Python work is the same at every
+width, so batching only shaves the iterator call chain.
 
 Results are published to ``benchmarks/results/vectorized_throughput.txt``.
 """
@@ -32,11 +36,13 @@ N_ROWS = 80_000
 SEED = 2004
 REPS = 2
 BATCH_WIDTHS = [64, 1024]
-#: The gate: scan-heavy statements must at least double row-mode throughput
-#: at some batch width.
-MIN_SCAN_SPEEDUP = 2.0
+#: The gate: scan-heavy statements must reach 2.5x width-1 throughput at
+#: some batch width.
+MIN_SCAN_SPEEDUP = 2.5
+#: The baseline: one row per ``next_batch`` call.
+WIDTH_1 = PopConfig(batch_size=1)
 
-# (name, SQL, scan_heavy) — scan_heavy rows carry the 2x gate.
+# (name, SQL, scan_heavy) — scan_heavy rows carry the speed-up gate.
 STATEMENTS = [
     (
         "filter_project",
@@ -122,13 +128,13 @@ def test_vectorized_throughput(benchmark):
     def run():
         measurements = []
         for name, sql, scan_heavy in STATEMENTS:
-            row_time, row_rows = time_engine(db, sql, PopConfig())
+            base_time, base_rows = time_engine(db, sql, WIDTH_1)
             best_batch = None
             for width in BATCH_WIDTHS:
                 batch_time, batch_rows = time_engine(
                     db, sql, PopConfig(batch_size=width)
                 )
-                assert batch_rows == row_rows, (
+                assert batch_rows == base_rows, (
                     f"{name}: batch width {width} changed the result"
                 )
                 if best_batch is None or batch_time < best_batch[1]:
@@ -138,11 +144,11 @@ def test_vectorized_throughput(benchmark):
                 {
                     "name": name,
                     "scan_heavy": scan_heavy,
-                    "row": row_time,
+                    "base": base_time,
                     "batch_width": best_batch[0],
                     "batch": best_batch[1],
                     "sqlite": sqlite_time,
-                    "speedup": row_time / best_batch[1],
+                    "speedup": base_time / best_batch[1],
                 }
             )
         return measurements
@@ -152,7 +158,7 @@ def test_vectorized_throughput(benchmark):
     table = format_table(
         [
             "statement",
-            "row rows/s",
+            "width-1 rows/s",
             "batch rows/s",
             "best width",
             "sqlite rows/s",
@@ -162,7 +168,7 @@ def test_vectorized_throughput(benchmark):
         [
             (
                 m["name"],
-                f"{rows_per_sec(m['row']):,.0f}",
+                f"{rows_per_sec(m['base']):,.0f}",
                 f"{rows_per_sec(m['batch']):,.0f}",
                 m["batch_width"],
                 f"{rows_per_sec(m['sqlite']):,.0f}",
@@ -174,14 +180,14 @@ def test_vectorized_throughput(benchmark):
     )
     publish(
         "vectorized_throughput",
-        f"Vectorized executor: rows/sec over {N_ROWS:,} rows "
-        f"(row vs batch vs sqlite3)",
+        f"Batch executor: rows/sec over {N_ROWS:,} rows "
+        f"(width 1 vs wide batches vs sqlite3)",
         table,
     )
 
     for m in measurements:
         if m["scan_heavy"]:
             assert m["speedup"] >= MIN_SCAN_SPEEDUP, (
-                f"{m['name']}: batch mode is only {m['speedup']:.2f}x row "
-                f"mode (gate: {MIN_SCAN_SPEEDUP}x)"
+                f"{m['name']}: the best width is only {m['speedup']:.2f}x "
+                f"width 1 (gate: {MIN_SCAN_SPEEDUP}x)"
             )

@@ -410,11 +410,10 @@ def rule_reuse_consistency(
                     inner=op.inner.KIND,
                 )
         if isinstance(op, MVScan):
-            catalog = ctx.catalog
-            if catalog is None:
+            if ctx.temp_mvs is None:
                 continue
             mv = None
-            for candidate in catalog.temp_mvs():
+            for candidate in ctx.temp_mvs:
                 if candidate.name == op.mv_name:
                     mv = candidate
                     break
@@ -422,7 +421,7 @@ def rule_reuse_consistency(
                 yield _finding(
                     "reuse-consistency", WARN, op,
                     f"MV scan references {op.mv_name!r}, which is not "
-                    "registered in the catalog (already cleaned up?)",
+                    "registered for this statement",
                     mv_name=op.mv_name,
                 )
                 continue

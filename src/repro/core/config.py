@@ -2,33 +2,10 @@
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.flavors import DEFAULT_FLAVORS
-
-
-def _default_batch_size() -> int:
-    """Batch size from the ``REPRO_BATCH_SIZE`` environment variable.
-
-    ``0`` (the default) keeps the classic row-at-a-time executor; any
-    positive value turns on the vectorized batch drain for every statement
-    whose :class:`PopConfig` does not set ``batch_size`` explicitly.  The
-    env route exists so whole harnesses (chaos, server smoke, CI jobs) can
-    flip execution mode without threading a parameter through every
-    config-construction site.
-    """
-    raw = os.environ.get("REPRO_BATCH_SIZE", "").strip()
-    if not raw:
-        return 0
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"REPRO_BATCH_SIZE must be an integer, got {raw!r}"
-        ) from exc
-    return value
 
 
 @dataclass
@@ -202,14 +179,11 @@ class PopConfig:
     #: spill-based degradation.  ``None`` disables the governor (the
     #: default — legacy full grants, hard ``ResourceExhausted`` failures).
     memory: Optional[MemoryPolicy] = None
-    #: Rows per executor batch.  ``0`` = classic row-at-a-time iteration;
-    #: any positive value drives the plan through the vectorized
-    #: ``next_batch`` path (docs/vectorized.md).  Semantics are identical
-    #: in both modes — rows, CHECK decisions, re-opt counts, and meter
-    #: totals match the row engine exactly — only cancellation/deadline
-    #: poll granularity moves to batch boundaries.  Defaults from the
-    #: ``REPRO_BATCH_SIZE`` environment variable.
-    batch_size: int = field(default_factory=_default_batch_size)
+    #: Rows per executor batch (``>= 1``).  Operators deliver rows through
+    #: ``next_batch`` (docs/vectorized.md); rows, CHECK decisions, re-opt
+    #: counts, and meter totals do not depend on the width — only the
+    #: cancellation/deadline poll granularity does.
+    batch_size: int = 1024
 
     def reopt_limit_for(self, query) -> int:
         """The effective re-optimization cap for ``query``."""
@@ -222,8 +196,8 @@ class PopConfig:
     def __post_init__(self) -> None:
         if self.reuse_policy not in ("cost", "never", "always"):
             raise ValueError(f"unknown reuse policy {self.reuse_policy!r}")
-        if self.batch_size < 0:
-            raise ValueError("batch_size must be non-negative (0 = row mode)")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be positive, got {self.batch_size}")
         self.flavors = frozenset(self.flavors)
 
 

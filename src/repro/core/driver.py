@@ -39,6 +39,7 @@ from repro.plan.explain import explain_plan, join_order
 from repro.plan.logical import Query
 from repro.plan.physical import AntiJoin, MVScan, PlanOp, Return, find_ops
 from repro.resilience import FALLBACK, RAISE, ExecutionGuard, FaultInjector
+from repro.storage.catalog import TempMVRegistry
 
 #: Harvest configuration for completed runs: feedback only, no temp MVs.
 _FEEDBACK_ONLY = PopConfig(reuse_policy="never")
@@ -347,7 +348,6 @@ class PopDriver:
         compensation: Counter = Counter()
         delivered: list[tuple] = []
         attempts: list[AttemptReport] = []
-        self._apply_reuse_policy()
         injector = FaultInjector(faults) if faults is not None else None
         guard = None
         if config.resilience is not None or injector is not None:
@@ -392,7 +392,6 @@ class PopDriver:
         finally:
             if guard is not None:
                 guard.end_statement()
-            self.catalog.clear_temp_mvs()
         wall = wall_clock() - started
         if metrics is not None:
             metrics.inc("pop.attempts", len(attempts))
@@ -474,6 +473,17 @@ class PopDriver:
         #: exist because runtime knowledge invalidated the plan in hand,
         #: which a cached plan cannot survive either.
         probe_cache = plan_cache is not None and statement is not None
+        #: Statement-scoped optimizer state, never written to the shared
+        #: optimizer: the reuse policy's options, and the temp MVs this
+        #: statement's re-optimization rounds harvest (paper §2.3) — they
+        #: die with the statement, so concurrent statements can neither
+        #: match nor drop each other's intermediates.
+        options = replace(
+            self.optimizer.options,
+            consider_mvs=config.reuse_policy != "never",
+            mv_cost_zero=config.reuse_policy == "always",
+        )
+        temp_mvs = TempMVRegistry()
         while True:
             attempt_span = (
                 tracer.start_span("pop.attempt", parent=stmt_span, attempt=attempt)
@@ -499,13 +509,13 @@ class PopDriver:
                     if tracer is not None
                     else None
                 )
-                attempt_feedback = feedback if config.use_feedback else None
-                if peek is not None:
-                    opt = self.optimizer.optimize(
-                        query, attempt_feedback, selectivity=peek
-                    )
-                else:
-                    opt = self.optimizer.optimize(query, attempt_feedback)
+                opt = self.optimizer.optimize(
+                    query,
+                    feedback if config.use_feedback else None,
+                    selectivity=peek,
+                    options=options,
+                    temp_mvs=temp_mvs,
+                )
                 meter.charge(
                     cost_model.reoptimization_cost(opt.plans_enumerated),
                     "optimize",
@@ -564,6 +574,7 @@ class PopDriver:
                     cached_fingerprint=(
                         cached.entry.fingerprint if cached is not None else None
                     ),
+                    temp_mvs=temp_mvs,
                 )
 
             budget = None
@@ -606,6 +617,7 @@ class PopDriver:
                 progress=self.progress,
                 batch_size=config.batch_size,
                 snapshot=snapshot,
+                temp_mvs=temp_mvs,
             )
             ctx.compensation = compensation
             renegs_before = (
@@ -697,7 +709,7 @@ class PopDriver:
                     if metrics is not None:
                         metrics.inc("pop.compensation_rows", len(sink))
                 registered = harvest_execution_state(
-                    ctx, signal, feedback, self.catalog, config
+                    ctx, signal, feedback, temp_mvs, config
                 )
                 self._observe_attempt(
                     ctx, report, attempt_span, interrupted=True,
@@ -748,7 +760,7 @@ class PopDriver:
                 # promotion from a half-run plan).
                 if config.use_feedback:
                     harvest_execution_state(
-                        ctx, None, feedback, self.catalog, _FEEDBACK_ONLY
+                        ctx, None, feedback, temp_mvs, _FEEDBACK_ONLY
                     )
                 attempt += 1
                 if decision == FALLBACK:
@@ -772,7 +784,7 @@ class PopDriver:
             # promotion) — this is what cross-query learning absorbs (§7).
             if config.use_feedback:
                 harvest_execution_state(
-                    ctx, None, feedback, self.catalog, _FEEDBACK_ONLY
+                    ctx, None, feedback, temp_mvs, _FEEDBACK_ONLY
                 )
             if plan_cache is not None and statement is not None:
                 self._cache_settle(
@@ -813,79 +825,75 @@ class PopDriver:
             if tracer is not None
             else None
         )
-        options = self.optimizer.options
-        saved_options = replace(options)
-        options.enable_index_nljn = False
-        options.enable_rescan_nljn = False
-        options.enable_hash_join = True
-        options.enable_merge_join = True
-        options.consider_mvs = False
-        options.mv_cost_zero = False
-        try:
-            units_before_opt = meter.snapshot()
-            opt = self.optimizer.optimize(query, None)
-            meter.charge(
-                self.optimizer.cost_model.reoptimization_cost(
-                    opt.plans_enumerated
-                ),
-                "optimize",
+        robust = replace(
+            self.optimizer.options,
+            enable_index_nljn=False,
+            enable_rescan_nljn=False,
+            enable_hash_join=True,
+            enable_merge_join=True,
+            consider_mvs=False,
+            mv_cost_zero=False,
+        )
+        units_before_opt = meter.snapshot()
+        opt = self.optimizer.optimize(query, None, options=robust)
+        meter.charge(
+            self.optimizer.cost_model.reoptimization_cost(opt.plans_enumerated),
+            "optimize",
+        )
+        opt_units = meter.snapshot() - units_before_opt
+        placement = place_checkpoints(
+            opt.plan, PopConfig(enabled=False), self.optimizer.cost_model
+        )
+        plan = placement.plan
+        if compensation:
+            plan = self._wrap_compensation(plan)
+        if self.config.strict_analysis:
+            self._lint_attempt_plan(plan, None, attempt)
+        ctx = ExecutionContext(
+            self.catalog,
+            params=params,
+            cost_params=self.optimizer.cost_model.params,
+            meter=meter,
+            tracer=tracer,
+            metrics=metrics,
+            cancel=cancel,
+            memory=self.config.memory,
+            reservation=reservation,
+            profiler=ProfileCollector(meter) if self.profile else None,
+            progress=self.progress,
+            batch_size=self.config.batch_size,
+            snapshot=snapshot,
+        )
+        ctx.compensation = compensation
+        renegs_before = (
+            reservation.renegotiations if reservation is not None else 0
+        )
+        if tracer is not None:
+            ctx.exec_span_id = tracer.start_span(
+                "pop.execute", parent=span, checkpoints=0, fallback=True
             )
-            opt_units = meter.snapshot() - units_before_opt
-            placement = place_checkpoints(
-                opt.plan, PopConfig(enabled=False), self.optimizer.cost_model
-            )
-            plan = placement.plan
-            if compensation:
-                plan = self._wrap_compensation(plan)
-            if self.config.strict_analysis:
-                self._lint_attempt_plan(plan, None, attempt)
-            ctx = ExecutionContext(
-                self.catalog,
-                params=params,
-                cost_params=self.optimizer.cost_model.params,
-                meter=meter,
-                tracer=tracer,
-                metrics=metrics,
-                cancel=cancel,
-                memory=self.config.memory,
-                reservation=reservation,
-                profiler=ProfileCollector(meter) if self.profile else None,
-                progress=self.progress,
-                batch_size=self.config.batch_size,
-                snapshot=snapshot,
-            )
-            ctx.compensation = compensation
-            renegs_before = (
-                reservation.renegotiations if reservation is not None else 0
-            )
-            if tracer is not None:
-                ctx.exec_span_id = tracer.start_span(
-                    "pop.execute", parent=span, checkpoints=0, fallback=True
-                )
-            sink: list[tuple] = []
-            units_before_exec = meter.snapshot()
-            report = AttemptReport(
-                plan=plan,
-                plan_text=explain_plan(plan),
-                join_order=join_order(plan),
-                checkpoints_placed=0,
-                optimization_units=opt_units,
-                execution_units=0.0,
-                fallback=True,
-            )
-            if self.progress is not None:
-                self.progress.begin_attempt(plan, meter.snapshot())
-            run_plan(plan, ctx, sink)
-            report.execution_units = meter.snapshot() - units_before_exec
-            report.checkpoint_events = ctx.checkpoint_events
-            report.actual_cards = _collect_actuals(ctx)
-            report.rows_emitted = ctx.rows_returned
-            self._harvest_memory(ctx, report, reservation, renegs_before)
-            attempts.append(report)
-            self._observe_attempt(ctx, report, span, interrupted=False)
-            return sink
-        finally:
-            self.optimizer.options = saved_options
+        sink: list[tuple] = []
+        units_before_exec = meter.snapshot()
+        report = AttemptReport(
+            plan=plan,
+            plan_text=explain_plan(plan),
+            join_order=join_order(plan),
+            checkpoints_placed=0,
+            optimization_units=opt_units,
+            execution_units=0.0,
+            fallback=True,
+        )
+        if self.progress is not None:
+            self.progress.begin_attempt(plan, meter.snapshot())
+        run_plan(plan, ctx, sink)
+        report.execution_units = meter.snapshot() - units_before_exec
+        report.checkpoint_events = ctx.checkpoint_events
+        report.actual_cards = _collect_actuals(ctx)
+        report.rows_emitted = ctx.rows_returned
+        self._harvest_memory(ctx, report, reservation, renegs_before)
+        attempts.append(report)
+        self._observe_attempt(ctx, report, span, interrupted=False)
+        return sink
 
     # ------------------------------------------------------------ plan cache
 
@@ -1053,6 +1061,7 @@ class PopDriver:
         feedback: Optional[CardinalityFeedback],
         attempt: int,
         cached_fingerprint: Optional[str] = None,
+        temp_mvs: Optional[TempMVRegistry] = None,
     ) -> None:
         """Strict mode: lint the plan this attempt is about to execute.
 
@@ -1070,6 +1079,7 @@ class PopDriver:
             ),
             attempt=attempt,
             cached_fingerprint=cached_fingerprint,
+            temp_mvs=temp_mvs,
         )
         findings = assert_plan_clean(
             plan, context, where=f"attempt {attempt} plan"
@@ -1131,11 +1141,6 @@ class PopDriver:
                 reused_mvs=list(report.reused_mvs),
                 interrupted=interrupted,
             )
-
-    def _apply_reuse_policy(self) -> None:
-        options = self.optimizer.options
-        options.consider_mvs = self.config.reuse_policy != "never"
-        options.mv_cost_zero = self.config.reuse_policy == "always"
 
     @staticmethod
     def _wrap_compensation(plan: PlanOp) -> PlanOp:

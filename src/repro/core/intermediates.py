@@ -6,8 +6,10 @@ Two things are collected from the interrupted operator tree:
    end-of-stream (or completed a materialization build), and lower bounds
    for operators interrupted mid-stream, keyed by edge signature.
 2. **Temp MVs** — every completed SORT/TEMP materialization is promoted to a
-   temporary materialized view with its exact cardinality as its catalog
-   statistic, so re-optimization can *choose* to reuse it.
+   temporary materialized view in the statement's
+   :class:`~repro.storage.catalog.TempMVRegistry`, with its exact
+   cardinality as its statistic, so re-optimization can *choose* to reuse
+   it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from repro.plan.physical import (
     Return,
     Sort,
 )
-from repro.storage.catalog import Catalog
+from repro.storage.catalog import TempMVRegistry
 
 #: Operators whose output cardinality does not equal their edge-signature
 #: cardinality (aggregation collapses rows; Return may be LIMIT-cut; ...).
@@ -47,14 +49,13 @@ def harvest_execution_state(
     ctx: ExecutionContext,
     signal: Optional[ReoptimizationSignal],
     feedback: CardinalityFeedback,
-    catalog: Catalog,
+    temp_mvs: TempMVRegistry,
     config: PopConfig,
 ) -> list[str]:
-    """Record feedback and promote intermediates; returns new MV names."""
+    """Record feedback and promote intermediates into ``temp_mvs``;
+    returns the new MV names."""
     registered: list[str] = []
-    existing = {
-        (mv.tables, mv.predicate_ids): mv.cardinality for mv in catalog.temp_mvs()
-    }
+    existing = {(mv.tables, mv.predicate_ids): mv.cardinality for mv in temp_mvs}
     for op in ctx.operators:
         if not _feedback_eligible(op):
             continue
@@ -66,7 +67,7 @@ def harvest_execution_state(
                 key = (op.plan.properties.tables, op.plan.properties.predicates)
                 if existing.get(key, -1) < len(materialized):
                     order = op.plan.keys if isinstance(op.plan, Sort) else ()
-                    mv = catalog.register_temp_mv(
+                    mv = temp_mvs.register(
                         tables=op.plan.properties.tables,
                         predicate_ids=op.plan.properties.predicates,
                         columns=tuple(op.plan.layout.columns),

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.common.errors import OptimizerError
 from repro.expr.evaluate import RowLayout
@@ -52,7 +52,7 @@ from repro.plan.physical import (
     Temp,
 )
 from repro.plan.properties import PlanProperties
-from repro.storage.catalog import Catalog
+from repro.storage.catalog import Catalog, TempMV
 
 
 @dataclass
@@ -117,12 +117,15 @@ class PlanEnumerator:
         estimator: CardinalityEstimator,
         cost_model: CostModel,
         options: Optional[OptimizerOptions] = None,
+        temp_mvs: Iterable[TempMV] = (),
     ):
         self.catalog = catalog
         self.query = query
         self.estimator = estimator
         self.cost_model = cost_model
         self.options = options if options is not None else OptimizerOptions()
+        #: The statement's temp MVs, matched as MV-scan candidates.
+        self.temp_mvs = list(temp_mvs)
         self.graph = JoinGraph(query)
         #: Number of candidate plans constructed (drives re-optimization cost).
         self.plans_enumerated = 0
@@ -219,11 +222,11 @@ class PlanEnumerator:
 
     def _mv_candidates(self, subset: frozenset) -> list[Candidate]:
         """MV-scan alternatives for ``subset`` from temp MVs (paper §2.3)."""
-        if not self.options.consider_mvs:
+        if not self.options.consider_mvs or not self.temp_mvs:
             return []
         required = predicate_set_id(self.estimator.predicates_for_subset(subset))
         candidates = []
-        for mv in self.catalog.temp_mvs():
+        for mv in self.temp_mvs:
             if mv.tables != subset or not (mv.predicate_ids <= required):
                 continue
             residual_ids = required - mv.predicate_ids

@@ -5,9 +5,9 @@ hand or generated reproducibly from a seed (:meth:`FaultPlan.seeded` via
 :func:`repro.common.rng.make_rng`).  A :class:`FaultInjector` carries one
 plan through a statement execution:
 
-* **iterator** — raise :class:`~repro.common.errors.TransientError` on the
-  Nth ``next()`` call anywhere in the operator tree (a mid-pipeline crash);
-* **stall** — charge extra work units on the Nth ``next()`` call (a slow
+* **iterator** — raise :class:`~repro.common.errors.TransientError` at the
+  Nth row pull anywhere in the operator tree (a mid-pipeline crash);
+* **stall** — charge extra work units at the Nth row pull (a slow
   operator, against the deterministic work-unit clock);
 * **mem_shrink** — apply memory pressure mid-execution: with a governor
   reservation the statement's reservation is renegotiated down and the
@@ -17,10 +17,14 @@ plan through a statement execution:
 * **stats** — corrupt (scale the row count of) or drop a table's catalog
   statistics before optimization, restored when the statement finishes.
 
-Execution faults trigger on a *global* ``next()``-call counter that spans
-all operators and all attempts of one statement, so a fault schedule is a
-pure function of the seed and the (deterministic) execution it perturbs.
-Each spec fires at most ``times`` times (default once — "transient").
+Execution faults trigger on a *global* row-pull counter that spans all
+operators and all attempts of one statement: every ``next_batch`` call
+advances it by the row pulls the call stands for — the rows it returned,
+or 1 for the end-of-stream ``None`` — so a fault schedule is a pure
+function of the seed and the (deterministic) execution it perturbs, and
+means the same at every batch width.  A call fires every spec whose
+``trigger_at`` its advance crossed.  Each spec fires at most ``times``
+times (default once — "transient").
 
 The injector is mounted on :class:`~repro.executor.base.ExecutionContext`
 as ``fault_injector`` and armed by ``run_plan`` — the single sanctioned
@@ -36,7 +40,7 @@ from typing import Optional, Sequence
 from repro.common.errors import TransientError
 from repro.common.rng import make_rng
 
-#: Execution-time fault kinds (trigger on the global next()-call counter).
+#: Execution-time fault kinds (trigger on the global row-pull counter).
 ITERATOR = "iterator"
 STALL = "stall"
 MEM_SHRINK = "mem_shrink"
@@ -57,7 +61,7 @@ _STATS_SCALES = (100.0, 0.01, 0.0)
 class FaultSpec:
     """One fault to inject.
 
-    ``trigger_at`` is the 1-based global ``next()``-call index for execution
+    ``trigger_at`` is the 1-based global row-pull index for execution
     kinds and ignored for ``stats`` faults; ``payload`` is the stall charge
     (work units), the shrink factor, or the stats scale (0.0 = drop);
     ``target_table`` names the table whose statistics a ``stats`` fault
@@ -83,7 +87,7 @@ class FiredFault:
     against the ``fault.injected`` trace events)."""
 
     kind: str
-    at_call: int  #: global next()-call index (0 for stats faults)
+    at_call: int  #: global row-pull index (0 for stats faults)
     op_kind: str  #: plan-operator KIND, or "catalog" for stats faults
     payload: float
     target_table: Optional[str] = None
@@ -151,8 +155,8 @@ class FaultInjector:
     """Carries one :class:`FaultPlan` through a statement execution.
 
     The injector is armed over a freshly built operator tree by
-    ``run_plan`` (it wraps each operator's ``next`` with a counting
-    prologue), fires due faults, and records every firing in
+    ``run_plan`` (it wraps each operator's ``next_batch`` with a counting
+    epilogue), fires due faults, and records every firing in
     :attr:`fired`.  ``disarm()`` makes all later arming a no-op — the
     guard disarms before running the safe-plan fallback so the fallback is
     guaranteed a clean run.
@@ -194,20 +198,21 @@ class FaultInjector:
             self._wrap(op, ctx)
 
     def _wrap(self, op, ctx) -> None:
-        inner = op.next
+        inner = op.next_batch
 
-        def next_with_faults():
-            self._before_next(op, ctx)
-            return inner()
+        def next_batch_with_faults(max_rows):
+            batch = inner(max_rows)
+            self._after_pull(op, ctx, len(batch) if batch else 1)
+            return batch
 
-        op.next = next_with_faults
+        op.next_batch = next_batch_with_faults
 
     # -------------------------------------------------------------- firing
 
-    def _before_next(self, op, ctx) -> None:
+    def _after_pull(self, op, ctx, pulls: int) -> None:
         if not self._active or not self._pending:
             return
-        self.call_count += 1
+        self.call_count += pulls
         count = self.call_count
         fire_now = []
         for entry in self._pending:
@@ -241,7 +246,7 @@ class FaultInjector:
         elif spec.kind == ITERATOR:
             raise TransientError(
                 f"injected transient failure at {op.plan.KIND}"
-                f"[op={op.plan.op_id}] next() call {count}"
+                f"[op={op.plan.op_id}] row pull {count}"
             )
 
     @staticmethod

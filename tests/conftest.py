@@ -85,3 +85,12 @@ def canonical(rows):
         tuple(round(v, 6) if isinstance(v, float) else v for v in row)
         for row in rows
     )
+
+
+def drain_rows(op) -> list[tuple]:
+    """Every remaining row of an opened operator, pulled one row per
+    ``next_batch(1)`` call."""
+    rows: list[tuple] = []
+    while (batch := op.next_batch(1)) is not None:
+        rows.extend(batch)
+    return rows

@@ -59,7 +59,7 @@ from repro.plan.physical import (
     number_plan,
 )
 from repro.plan.properties import PlanProperties, ValidityRange
-from repro.storage.catalog import Catalog
+from repro.storage.catalog import Catalog, TempMVRegistry
 from repro.storage.table import Schema
 
 # --------------------------------------------------------- plan builders
@@ -286,28 +286,24 @@ class TestReuseConsistencyRule:
 
     def test_unregistered_mv_warns(self):
         plan = MVScan("__tempmv_404", props("t"), RowLayout(["t.a"]), 3.0, 1.0)
-        ctx = LintContext(catalog=Catalog())
+        ctx = LintContext(temp_mvs=TempMVRegistry())
         findings = by_rule(lint(plan, ctx), "reuse-consistency")
         assert len(findings) == 1
         assert findings[0].severity == WARN
 
     def test_mv_table_set_mismatch(self):
-        catalog = Catalog()
-        mv = catalog.register_temp_mv(
-            frozenset({"x"}), frozenset(), ("x.a",), [(1,)]
-        )
+        mvs = TempMVRegistry()
+        mv = mvs.register(frozenset({"x"}), frozenset(), ("x.a",), [(1,)])
         plan = MVScan(mv.name, props("t"), RowLayout(["t.a"]), 1.0, 1.0)
-        findings = by_rule(lint(plan, LintContext(catalog=catalog)), "reuse-consistency")
+        findings = by_rule(lint(plan, LintContext(temp_mvs=mvs)), "reuse-consistency")
         assert len(findings) == 1
         assert findings[0].severity == ERROR
 
     def test_mv_cardinality_disagreement_warns(self):
-        catalog = Catalog()
-        mv = catalog.register_temp_mv(
-            frozenset({"t"}), frozenset(), ("t.a",), [(1,), (2,), (3,)]
-        )
+        mvs = TempMVRegistry()
+        mv = mvs.register(frozenset({"t"}), frozenset(), ("t.a",), [(1,), (2,), (3,)])
         plan = MVScan(mv.name, props("t"), RowLayout(["t.a"]), 100.0, 1.0)
-        findings = by_rule(lint(plan, LintContext(catalog=catalog)), "reuse-consistency")
+        findings = by_rule(lint(plan, LintContext(temp_mvs=mvs)), "reuse-consistency")
         assert len(findings) == 1
         assert findings[0].data["exact"] == 3
 
@@ -529,12 +525,12 @@ class TestContractChecker:
         )
         findings = check_module(source)
         assert [f.rule for f in findings] == ["iterator-contract"]
-        assert "next" in findings[0].message
+        assert "next_batch" in findings[0].message
 
     def test_open_override_must_call_super(self):
         source = (
             "class Leaky(Operator):\n"
-            "    def next(self):\n"
+            "    def next_batch(self, max_rows):\n"
             "        return None\n"
             "    def open(self):\n"
             "        self.started = True\n"
@@ -548,7 +544,7 @@ class TestContractChecker:
             "class Fine(Operator):\n"
             "    def open(self):\n"
             "        super().open()\n"
-            "    def next(self):\n"
+            "    def next_batch(self, max_rows):\n"
             "        return None\n"
             "    def close(self):\n"
             "        super().close()\n"
@@ -650,8 +646,8 @@ class TestStrictModes:
         db = _tiny_db()
         original = db.optimizer.optimize
 
-        def corrupting(query, feedback=None):
-            result = original(query, feedback=feedback)
+        def corrupting(query, feedback=None, **kwargs):
+            result = original(query, feedback=feedback, **kwargs)
             result.plan.est_card = float("nan")
             return result
 
@@ -770,15 +766,13 @@ def test_order_preserving_joins_claim_outer_order(tpch_db):
 
 
 class TestBatchContractRule:
-    """The vectorized-executor rule: ``next_batch`` overrides must funnel
-    rows through ``emit_batch``, never per-row ``emit``, and must not mix
-    the row protocol into a batch execution."""
+    """The batch-protocol rule: ``next_batch`` implementations must funnel
+    rows through ``emit_batch``, never a per-row ``emit``, and must not
+    pull children through a row-at-a-time ``.next()``."""
 
     def test_raw_list_return_flagged(self):
         source = (
             "class Vec(Operator):\n"
-            "    def next(self):\n"
-            "        return None\n"
             "    def next_batch(self, max_rows):\n"
             "        return [(1,)]\n"
         )
@@ -789,8 +783,6 @@ class TestBatchContractRule:
     def test_per_row_emit_inside_batch_flagged(self):
         source = (
             "class Vec(Operator):\n"
-            "    def next(self):\n"
-            "        return None\n"
             "    def next_batch(self, max_rows):\n"
             "        self.emit((1,))\n"
             "        return None\n"
@@ -802,8 +794,6 @@ class TestBatchContractRule:
     def test_child_pull_via_next_flagged(self):
         source = (
             "class Vec(Operator):\n"
-            "    def next(self):\n"
-            "        return None\n"
             "    def next_batch(self, max_rows):\n"
             "        row = self.child.next()\n"
             "        return None\n"
@@ -815,8 +805,6 @@ class TestBatchContractRule:
     def test_builtin_next_over_iterator_is_fine(self):
         source = (
             "class Vec(Operator):\n"
-            "    def next(self):\n"
-            "        return None\n"
             "    def next_batch(self, max_rows):\n"
             "        out = [next(self._merge, None)]\n"
             "        if out[0] is None:\n"
@@ -828,8 +816,6 @@ class TestBatchContractRule:
     def test_eof_and_emit_batch_returns_are_fine(self):
         source = (
             "class Vec(Operator):\n"
-            "    def next(self):\n"
-            "        return None\n"
             "    def next_batch(self, max_rows):\n"
             "        batch = self.child.next_batch(max_rows)\n"
             "        if batch is None:\n"

@@ -14,6 +14,8 @@ from repro.plan.properties import PlanProperties, ValidityRange
 from repro.storage.catalog import Catalog
 from repro.storage.table import Schema
 
+from .conftest import drain_rows
+
 
 def catalog_with_rows(n):
     cat = Catalog()
@@ -34,10 +36,7 @@ def drain(plan, cat, **ctx_kwargs):
     ctx = ExecutionContext(cat, **ctx_kwargs)
     op = build_executor(plan, ctx)
     op.open()
-    rows = []
-    while (row := op.next()) is not None:
-        rows.append(row)
-    return rows, ctx
+    return drain_rows(op), ctx
 
 
 class TestCheckBoundaries:

@@ -61,6 +61,30 @@ class CountdownToken:
         return self.remaining <= 0
 
 
+class PollCounter:
+    """Duck-typed cancel token that never fires and counts its polls."""
+
+    reason = None
+
+    def __init__(self):
+        self.polls = 0
+
+    @property
+    def cancelled(self) -> bool:
+        self.polls += 1
+        return False
+
+
+def midway_countdown(db, sql: str) -> CountdownToken:
+    """A :class:`CountdownToken` that flips at half the polls an
+    uncancelled run of ``sql`` makes, so the cancel provably lands
+    mid-query whatever the executor's poll granularity."""
+    probe = PollCounter()
+    db.execute(sql, cancel=probe)
+    assert probe.polls >= 4, probe.polls
+    return CountdownToken(probe.polls // 2)
+
+
 class TestCancelToken:
     def test_starts_clear_and_latches(self):
         token = CancelToken()
@@ -88,8 +112,9 @@ class TestExecuteCancel:
             star_db.execute("SELECT c.c_id FROM cust c", cancel=token)
 
     def test_mid_query_cancel_unwinds(self, star_db):
+        token = midway_countdown(star_db, JOIN_SQL)
         with pytest.raises(ExecutionCancelled, match="countdown"):
-            star_db.execute(JOIN_SQL, cancel=CountdownToken(500))
+            star_db.execute(JOIN_SQL, cancel=token)
 
     def test_cancel_mid_grace_join_releases_spill(self, star_db):
         """Kill a spilling join mid-flight: no leaked pages, governor at
@@ -108,8 +133,9 @@ class TestExecuteCancel:
             # cancel below would not be interrupting spill-backed work.
             clean = star_db.execute(JOIN_SQL)
             assert clean.report.spilled
+            token = midway_countdown(star_db, JOIN_SQL)
             with pytest.raises(ExecutionCancelled):
-                star_db.execute(JOIN_SQL, cancel=CountdownToken(5000))
+                star_db.execute(JOIN_SQL, cancel=token)
             snap = governor.snapshot()
             assert snap["used_pages"] == 0
             assert snap["reservations"] == []
@@ -119,8 +145,9 @@ class TestExecuteCancel:
 
     def test_cancel_leaves_database_usable(self, star_db):
         oracle = star_db.execute("SELECT c.c_id FROM cust c").rows
+        token = midway_countdown(star_db, JOIN_SQL)
         with pytest.raises(ExecutionCancelled):
-            star_db.execute(JOIN_SQL, cancel=CountdownToken(500))
+            star_db.execute(JOIN_SQL, cancel=token)
         again = star_db.execute("SELECT c.c_id FROM cust c").rows
         assert sorted(again) == sorted(oracle)
 
@@ -148,13 +175,16 @@ class TestWallClockDeadline:
         with a classified ``timeout`` (fallback disabled)."""
         from repro.executor.scans import TableScanExec
 
-        original = TableScanExec.next
+        original = TableScanExec.next_batch
 
-        def stalled(self):
-            time.sleep(0.02)
-            return original(self)
+        def stalled(self, max_rows):
+            # 20 ms per row pulled, in requests of at most 16 rows so the
+            # deadline polls between batches stay close together.
+            batch = original(self, min(max_rows, 16))
+            time.sleep(0.02 * len(batch or ()))
+            return batch
 
-        monkeypatch.setattr(TableScanExec, "next", stalled)
+        monkeypatch.setattr(TableScanExec, "next_batch", stalled)
         pop = PopConfig(
             resilience=ResiliencePolicy(
                 deadline_seconds=0.1, fallback_enabled=False

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import CatalogError
-from repro.storage.catalog import Catalog
+from repro.storage.catalog import Catalog, TempMVRegistry
 from repro.storage.table import Schema
 
 
@@ -100,36 +100,38 @@ class TestStatistics:
 
 class TestTempMVs:
     def test_register_and_fetch(self):
-        catalog = fresh_catalog()
-        mv = catalog.register_temp_mv(
+        mvs = TempMVRegistry()
+        mv = mvs.register(
             tables=frozenset({"t"}),
             predicate_ids=frozenset({"p"}),
             columns=("t.a", "t.b"),
             rows=[(1, "x"), (2, "y")],
         )
         assert mv.cardinality == 2
-        assert catalog.temp_mv(mv.name) is mv
-        assert catalog.temp_mvs() == [mv]
+        assert mvs.get(mv.name) is mv
+        assert list(mvs) == [mv]
 
     def test_names_are_unique(self):
-        catalog = fresh_catalog()
-        a = catalog.register_temp_mv(frozenset(), frozenset(), (), [])
-        b = catalog.register_temp_mv(frozenset(), frozenset(), (), [])
+        mvs = TempMVRegistry()
+        a = mvs.register(frozenset(), frozenset(), (), [])
+        b = mvs.register(frozenset(), frozenset(), (), [])
         assert a.name != b.name
 
-    def test_clear_removes_all(self):
-        catalog = fresh_catalog()
-        catalog.register_temp_mv(frozenset(), frozenset(), (), [])
-        catalog.clear_temp_mvs()
-        assert catalog.temp_mvs() == []
+    def test_registries_are_independent(self):
+        """Each statement owns a registry: one statement's MVs are
+        invisible to another's, and nothing lives on the catalog."""
+        mine, theirs = TempMVRegistry(), TempMVRegistry()
+        mv = mine.register(frozenset(), frozenset(), (), [])
+        assert list(theirs) == [] and len(mine) == 1
+        with pytest.raises(CatalogError, match="no temp MV"):
+            theirs.get(mv.name)
 
     def test_missing_mv_raises(self):
         with pytest.raises(CatalogError, match="no temp MV"):
-            fresh_catalog().temp_mv("ghost")
+            TempMVRegistry().get("ghost")
 
     def test_order_recorded(self):
-        catalog = fresh_catalog()
-        mv = catalog.register_temp_mv(
+        mv = TempMVRegistry().register(
             frozenset({"t"}), frozenset(), ("t.a",), [(1,)], order=("t.a",)
         )
         assert mv.order == ("t.a",)

@@ -57,8 +57,12 @@ class TestReoptimizationLoop:
         )
 
     def test_temp_mvs_cleaned_up(self, star_db):
-        star_db.execute(marker_query(), params={"p": "COMMON"})
-        assert star_db.catalog.temp_mvs() == []
+        """A statement's temp MVs die with it: the next statement's first
+        attempt has nothing to reuse."""
+        first = star_db.execute(marker_query(), params={"p": "COMMON"})
+        assert first.report.attempts[1].reused_mvs
+        second = star_db.execute(marker_query(), params={"p": "COMMON"})
+        assert second.report.attempts[0].reused_mvs == []
 
     def test_max_reoptimizations_bounds_attempts(self, star_db):
         config = PopConfig(max_reoptimizations=1)
@@ -111,6 +115,75 @@ class TestReusePolicies:
     def test_invalid_policy_rejected(self):
         with pytest.raises(ValueError):
             PopConfig(reuse_policy="sometimes")
+
+
+class TestConcurrentTempMVs:
+    """Temp MVs are per statement (paper §2.3's cleanup step): two threads
+    re-optimizing DMV templates with MV reuse on must neither drop nor
+    match each other's intermediates."""
+
+    REOPT_TEMPLATES = ("zip_inspection_rescan_0", "zip_accident_rescan_0")
+
+    def test_two_threads_reuse_only_their_own_mvs(self):
+        import sys
+        import threading
+
+        from repro.workloads.dmv.generator import DmvScale, make_dmv_db
+        from repro.workloads.dmv.queries import dmv_queries
+
+        db = make_dmv_db(
+            scale=DmvScale(
+                owners=400, cars=600, accidents=250, violations=300,
+                insurance=600, dealers=40, inspections=400,
+                registrations=600,
+            ),
+            seed=7,
+        )
+        queries = dict(dmv_queries())
+        # The zip templates re-optimize onto a temp MV; the other literal
+        # variants of the same shapes do not, so the threads interleave
+        # statements that harvest MVs with statements that must not see them.
+        names = [
+            n for n in queries
+            if n.startswith(("zip_inspection_rescan", "zip_accident_rescan"))
+        ]
+        oracle = {
+            n: canonical(db.execute_without_pop(queries[n]).rows) for n in names
+        }
+        reused = []
+        failures = []
+
+        def worker(order):
+            for _ in range(6):
+                for name in order:
+                    try:
+                        result = db.execute(queries[name])
+                    except Exception as exc:  # reported below
+                        failures.append((name, repr(exc)))
+                        continue
+                    if canonical(result.rows) != oracle[name]:
+                        failures.append((name, "wrong rows"))
+                    reused.extend(
+                        mv for a in result.report.attempts for mv in a.reused_mvs
+                    )
+
+        threads = [
+            threading.Thread(target=worker, args=(names,)),
+            threading.Thread(target=worker, args=(names[::-1],)),
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)  # interleave the statements finely
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+        # Both threads really re-optimized onto temp MVs.
+        assert len(reused) >= 2 * 6 * len(self.REOPT_TEMPLATES)
 
 
 class TestFlavorsEndToEnd:

@@ -17,6 +17,7 @@ from repro.plan.physical import (
     TableScan,
     find_ops,
 )
+from repro.storage.catalog import TempMVRegistry
 
 
 def two_table_query(local=None):
@@ -161,19 +162,19 @@ class TestMVCandidates:
         # Manually promote the filtered customers as a temp MV.
         cust = star_db.catalog.table("cust")
         rows = [r for r in cust.rows if r[1] == "RARE"]
-        star_db.catalog.register_temp_mv(
+        mvs = TempMVRegistry()
+        mvs.register(
             tables=frozenset({"c"}),
             predicate_ids=predicate_set_id(query.local_predicates),
             columns=("c.c_id", "c.c_segment", "c.c_nation"),
             rows=rows,
         )
-        try:
-            plan = star_db.optimizer.optimize(query).plan
-            mv_scans = find_ops(plan, MVScan)
-            assert mv_scans, "optimizer should pick the free intermediate result"
-            assert mv_scans[0].est_card == len(rows)
-        finally:
-            star_db.catalog.clear_temp_mvs()
+        plan = star_db.optimizer.optimize(query, temp_mvs=mvs).plan
+        mv_scans = find_ops(plan, MVScan)
+        assert mv_scans, "optimizer should pick the free intermediate result"
+        assert mv_scans[0].est_card == len(rows)
+        # Without the statement's registry there is nothing to reuse.
+        assert not find_ops(star_db.optimizer.optimize(query).plan, MVScan)
 
     def test_mv_with_residual_predicates(self, star_db):
         seg = Comparison(ColumnRef("c", "c_segment"), "=", Literal("RARE"))
@@ -181,40 +182,36 @@ class TestMVCandidates:
         query = two_table_query(local=[seg, extra])
         cust = star_db.catalog.table("cust")
         rows = [r for r in cust.rows if r[1] == "RARE"]
-        star_db.catalog.register_temp_mv(
+        mvs = TempMVRegistry()
+        mvs.register(
             tables=frozenset({"c"}),
             predicate_ids=predicate_set_id([seg]),
             columns=("c.c_id", "c.c_segment", "c.c_nation"),
             rows=rows,
         )
-        try:
-            plan = star_db.optimizer.optimize(query).plan
-            mv_scans = find_ops(plan, MVScan)
-            assert mv_scans and mv_scans[0].filters  # residual applied on scan
-            result = star_db.execute_without_pop(query)
-            expected = sum(1 for r in rows if r[2] == 3)
-            joined = sum(
-                1
-                for row in star_db.catalog.table("orders").rows
-                if any(r[0] == row[1] and r[2] == 3 for r in rows)
-            )
-        finally:
-            star_db.catalog.clear_temp_mvs()
+        plan = star_db.optimizer.optimize(query, temp_mvs=mvs).plan
+        mv_scans = find_ops(plan, MVScan)
+        assert mv_scans and mv_scans[0].filters  # residual applied on scan
+        result = star_db.execute_without_pop(query)
+        expected = sum(1 for r in rows if r[2] == 3)
+        joined = sum(
+            1
+            for row in star_db.catalog.table("orders").rows
+            if any(r[0] == row[1] and r[2] == 3 for r in rows)
+        )
 
     def test_mvs_ignored_when_disabled(self, star_db):
         query = two_table_query(
             local=[Comparison(ColumnRef("c", "c_segment"), "=", Literal("RARE"))]
         )
-        star_db.catalog.register_temp_mv(
+        mvs = TempMVRegistry()
+        mvs.register(
             tables=frozenset({"c"}),
             predicate_ids=predicate_set_id(query.local_predicates),
             columns=("c.c_id", "c.c_segment", "c.c_nation"),
             rows=[],
         )
-        star_db.optimizer.options = OptimizerOptions(consider_mvs=False)
-        try:
-            plan = star_db.optimizer.optimize(query).plan
-            assert not find_ops(plan, MVScan)
-        finally:
-            star_db.optimizer.options = OptimizerOptions()
-            star_db.catalog.clear_temp_mvs()
+        plan = star_db.optimizer.optimize(
+            query, options=OptimizerOptions(consider_mvs=False), temp_mvs=mvs
+        ).plan
+        assert not find_ops(plan, MVScan)

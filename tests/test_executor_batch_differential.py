@@ -1,13 +1,13 @@
-"""Row-vs-batch differential harness for the vectorized executor core.
+"""Batch-width differential harness for the executor.
 
 Replays seeded random parameter streams over TPC-H and DMV statement
-templates in classic row-at-a-time mode, in batch mode at several batch
-sizes, and against the row-level nested-loop oracle (:mod:`tests.reference`,
-which shares no code with the executor).  Batching is an execution-engine
-refactor, not a semantics change, so every observable POP behaviour must be
-identical across modes:
+templates at width 1 (every batch is one row — the reference), at several
+wider batch sizes, and against the row-level nested-loop oracle
+(:mod:`tests.reference`, which shares no code with the executor).  The
+batch width is an execution detail, not a semantics change, so every
+observable POP behaviour must be identical across widths:
 
-* **rows** — exact ordered equality batch-vs-row, canonical equality
+* **rows** — exact ordered equality against width 1, canonical equality
   vs the oracle;
 * **CHECK decisions** — the per-attempt checkpoint-event sequences (op id,
   flavor, observed cardinality, range, completeness, triggered) match
@@ -17,8 +17,8 @@ identical across modes:
 * **work accounting** — per-attempt ``execution_units`` agree to float
   round-off (batch paths charge ``n × per-row`` in bulk).
 
-Batch sizes cover the degenerate single-row case (every batch is a partial
-batch), a prime that never divides anything cleanly, a typical vector
+Batch sizes cover the degenerate single-row case (the reference width
+itself, so the suite also checks that a run repeats exactly), a prime that never divides anything cleanly, a typical vector
 width, and one larger than most intermediate results (one-batch drains).
 """
 
@@ -49,7 +49,7 @@ BATCH_SIZES = [1, 7, 64, 1024]
 def decisions(report):
     """The semantic content of every checkpoint decision, attempt by
     attempt — everything except ``units_at_event``, which is a float sum
-    whose grouping legitimately differs between row and batch charging."""
+    whose grouping legitimately differs between batch widths."""
     out = []
     for attempt in report.attempts:
         out.append(
@@ -76,19 +76,23 @@ def signals(report):
     ]
 
 
-def assert_equivalent(row_result, batch_result, label):
-    assert batch_result.rows == row_result.rows, label
+#: The reference configuration: one row per batch.
+WIDTH_1 = PopConfig(batch_size=1)
+
+
+def assert_equivalent(ref_result, batch_result, label):
+    assert batch_result.rows == ref_result.rows, label
     assert (
         batch_result.report.reoptimizations
-        == row_result.report.reoptimizations
+        == ref_result.report.reoptimizations
     ), label
     assert len(batch_result.report.attempts) == len(
-        row_result.report.attempts
+        ref_result.report.attempts
     ), label
-    assert decisions(batch_result.report) == decisions(row_result.report), label
-    assert signals(batch_result.report) == signals(row_result.report), label
+    assert decisions(batch_result.report) == decisions(ref_result.report), label
+    assert signals(batch_result.report) == signals(ref_result.report), label
     for b, r in zip(
-        batch_result.report.attempts, row_result.report.attempts
+        batch_result.report.attempts, ref_result.report.attempts
     ):
         assert b.rows_emitted == r.rows_emitted, label
         assert b.execution_units == pytest.approx(
@@ -125,15 +129,15 @@ def run_stream(db, templates, draw_params, seed, statements=8):
     for _ in range(statements):
         name, template = templates[rng.randrange(len(templates))]
         sql = template.format(**draw_params(rng))
-        row_result = db.execute(sql)
+        ref_result = db.execute(sql, pop=WIDTH_1)
         oracle = evaluate_reference(db.catalog, bind_sql(sql, db.catalog))
-        assert canonical(row_result.rows) == canonical(oracle), (name, sql)
+        assert canonical(ref_result.rows) == canonical(oracle), (name, sql)
         for batch_size in BATCH_SIZES:
             batch_result = db.execute(
                 sql, pop=PopConfig(batch_size=batch_size)
             )
             assert_equivalent(
-                row_result, batch_result, (name, batch_size, sql)
+                ref_result, batch_result, (name, batch_size, sql)
             )
 
 
@@ -212,40 +216,47 @@ def test_reoptimization_fires_identically(skewed_star, batch_size):
             JoinPredicate(ColumnRef("o", "o_custkey"), ColumnRef("c", "c_id"))
         ],
     )
-    row_result = skewed_star.execute(query, params={"p": "COMMON"})
-    assert row_result.report.reoptimizations >= 1
+    ref_result = skewed_star.execute(
+        query, params={"p": "COMMON"}, pop=WIDTH_1
+    )
+    assert ref_result.report.reoptimizations >= 1
     batch_result = skewed_star.execute(
         query, params={"p": "COMMON"}, pop=PopConfig(batch_size=batch_size)
     )
-    assert_equivalent(row_result, batch_result, ("marker", batch_size))
+    assert_equivalent(ref_result, batch_result, ("marker", batch_size))
     # The triggering attempt's plan must match too: same feedback in, same
-    # re-optimized plan out.  Temp-MV names carry a per-database sequence
-    # number (each execution mints fresh ones), so normalize those.
+    # re-optimized plan out.  Temp-MV names carry a per-statement sequence
+    # number, so normalize those.
     import re
 
     def norm(text):
         return re.sub(r"__tempmv_\d+", "__tempmv_N", text or "")
 
     for b, r in zip(
-        batch_result.report.attempts, row_result.report.attempts
+        batch_result.report.attempts, ref_result.report.attempts
     ):
         assert norm(b.plan_text) == norm(r.plan_text)
         assert norm(str(b.join_order)) == norm(str(r.join_order))
 
 
-def test_env_knob_selects_batch_mode(skewed_star, monkeypatch):
-    """``REPRO_BATCH_SIZE`` is the deployment knob: a default-constructed
-    PopConfig picks it up, and the run stays row/batch-equivalent."""
-    row_result = skewed_star.execute(MARKER_SQL.format(segment="MID"))
-    monkeypatch.setenv("REPRO_BATCH_SIZE", "33")
-    config = PopConfig()
-    assert config.batch_size == 33
-    batch_result = skewed_star.execute(
-        MARKER_SQL.format(segment="MID"), pop=config
+def test_default_config_runs_at_width_1024(skewed_star):
+    """A default-constructed PopConfig — what ``Database.execute`` uses —
+    runs at width 1024 and stays equivalent to width 1."""
+    ref_result = skewed_star.execute(
+        MARKER_SQL.format(segment="MID"), pop=WIDTH_1
     )
-    assert_equivalent(row_result, batch_result, "env-knob")
+    config = PopConfig()
+    assert config.batch_size == 1024
+    default_result = skewed_star.execute(MARKER_SQL.format(segment="MID"))
+    assert_equivalent(ref_result, default_result, "default")
 
 
 def test_negative_batch_size_rejected():
     with pytest.raises(ValueError):
         PopConfig(batch_size=-1)
+
+
+def test_zero_batch_size_rejected():
+    """0 used to select a row-at-a-time protocol that no longer exists."""
+    with pytest.raises(ValueError):
+        PopConfig(batch_size=0)

@@ -1,17 +1,19 @@
-"""Property tests for the vectorized executor (hypothesis-driven).
+"""Property tests for the batch executor (hypothesis-driven).
 
 Three invariants the batch protocol must hold for *every* batch size, not
-just the sizes the differential streams happen to use:
+just the sizes the differential streams happen to use.  Width 1 — one row
+per ``next_batch`` call, the row-at-a-time execution of the paper's
+Fig. 10 — is the reference:
 
 * **batch-size invariance** — the rows a plan produces (values and order)
   do not depend on ``batch_size``;
 * **CHECK-boundary exactness** — an upper-bound violation is detected at
-  exactly the same observed cardinality as in row mode: the first row
+  exactly the same observed cardinality as at width 1: the first row
   count strictly above the range's high bound, never late by partial
   batches (CheckExec caps its child request at the crossing row);
 * **meter identity** — the WorkMeter total and every per-category subtotal
-  equal the row-mode charges up to float-summation round-off, because
-  every native batch path charges exactly ``n ×`` the per-row amounts.
+  equal the width-1 charges up to float-summation round-off, because
+  every batch path charges exactly ``n ×`` the per-row amounts.
 
 These run at the executor layer (build plan → ``run_plan``) so the
 properties are about the operators themselves, with no optimizer noise.
@@ -43,6 +45,8 @@ from repro.storage.catalog import Catalog
 from repro.storage.table import Schema
 
 BATCH_SIZES = st.integers(min_value=1, max_value=257)
+#: The reference width: one row per batch.
+REF = 1
 
 
 def make_catalog(n_rows: int) -> Catalog:
@@ -81,14 +85,14 @@ def execute(plan_factory, cat, batch_size):
     return rows, signal, meter
 
 
-def assert_meter_identity(batch_meter, row_meter):
+def assert_meter_identity(batch_meter, ref_meter):
     assert batch_meter.units == pytest.approx(
-        row_meter.units, rel=1e-9, abs=1e-9
+        ref_meter.units, rel=1e-9, abs=1e-9
     )
-    row_cats = row_meter.by_category()
+    ref_cats = ref_meter.by_category()
     batch_cats = batch_meter.by_category()
-    assert set(batch_cats) == set(row_cats)
-    for category, units in row_cats.items():
+    assert set(batch_cats) == set(ref_cats)
+    for category, units in ref_cats.items():
         assert batch_cats[category] == pytest.approx(
             units, rel=1e-9, abs=1e-9
         ), category
@@ -111,11 +115,11 @@ class TestBatchSizeInvariance:
             )
             return Sort(distinct, ["t.a", "t.b"], props, est_cost=4.0)
 
-        row_rows, row_sig, row_meter = execute(factory, cat, 0)
+        ref_rows, ref_sig, ref_meter = execute(factory, cat, REF)
         batch_rows, batch_sig, batch_meter = execute(factory, cat, batch_size)
-        assert row_sig is None and batch_sig is None
-        assert batch_rows == row_rows
-        assert_meter_identity(batch_meter, row_meter)
+        assert ref_sig is None and batch_sig is None
+        assert batch_rows == ref_rows
+        assert_meter_identity(batch_meter, ref_meter)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -125,17 +129,17 @@ class TestBatchSizeInvariance:
     )
     def test_limit_rows_identical(self, n_rows, limit, batch_size):
         """RETURN caps its child demand at the remaining limit, so early
-        termination consumes the same child prefix in both modes."""
+        termination consumes the same child prefix at every width."""
         cat = make_catalog(n_rows)
 
         def factory():
             return Return(scan_plan(float(max(n_rows, 1))), limit=limit)
 
-        row_rows, _, row_meter = execute(factory, cat, 0)
+        ref_rows, _, ref_meter = execute(factory, cat, REF)
         batch_rows, _, batch_meter = execute(factory, cat, batch_size)
-        assert batch_rows == row_rows
+        assert batch_rows == ref_rows
         assert len(batch_rows) == min(n_rows, limit)
-        assert_meter_identity(batch_meter, row_meter)
+        assert_meter_identity(batch_meter, ref_meter)
 
 
 class TestCheckBoundaryExactness:
@@ -166,18 +170,18 @@ class TestCheckBoundaryExactness:
                 "LC",
             )
 
-        row_rows, row_sig, row_meter = execute(factory, cat, 0)
+        ref_rows, ref_sig, ref_meter = execute(factory, cat, REF)
         batch_rows, batch_sig, batch_meter = execute(factory, cat, batch_size)
-        assert (batch_sig is None) == (row_sig is None)
-        if row_sig is not None:
-            assert batch_sig.observed == row_sig.observed
-            assert batch_sig.complete == row_sig.complete
-            if not row_sig.complete:
+        assert (batch_sig is None) == (ref_sig is None)
+        if ref_sig is not None:
+            assert batch_sig.observed == ref_sig.observed
+            assert batch_sig.complete == ref_sig.complete
+            if not ref_sig.complete:
                 # Detected exactly at the crossing row, not a batch later.
-                assert row_sig.observed == math.floor(max(low, high)) + 1
+                assert ref_sig.observed == math.floor(max(low, high)) + 1
         else:
-            assert batch_rows == row_rows
-        assert_meter_identity(batch_meter, row_meter)
+            assert batch_rows == ref_rows
+        assert_meter_identity(batch_meter, ref_meter)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -188,7 +192,7 @@ class TestCheckBoundaryExactness:
         self, n_rows, batch_size
     ):
         """The materialization-point optimization (exact count at open)
-        is mode-independent."""
+        is width-independent."""
         cat = make_catalog(n_rows)
         high = max(0, n_rows - 1)
 
@@ -199,9 +203,9 @@ class TestCheckBoundaryExactness:
                 "LC",
             )
 
-        _, row_sig, row_meter = execute(factory, cat, 0)
+        _, ref_sig, ref_meter = execute(factory, cat, REF)
         _, batch_sig, batch_meter = execute(factory, cat, batch_size)
-        assert row_sig is not None and batch_sig is not None
-        assert batch_sig.observed == row_sig.observed == n_rows
-        assert batch_sig.complete and row_sig.complete
-        assert_meter_identity(batch_meter, row_meter)
+        assert ref_sig is not None and batch_sig is not None
+        assert batch_sig.observed == ref_sig.observed == n_rows
+        assert batch_sig.complete and ref_sig.complete
+        assert_meter_identity(batch_meter, ref_meter)

@@ -10,6 +10,8 @@ from repro.plan.properties import PlanProperties, ValidityRange
 from repro.storage.catalog import Catalog
 from repro.storage.table import Schema
 
+from .conftest import drain_rows
+
 
 def make_catalog(n_rows: int) -> Catalog:
     cat = Catalog()
@@ -30,10 +32,7 @@ def run_checked(plan, ctx):
     number_plan(plan)
     op = build_executor(plan, ctx)
     op.open()
-    rows = []
-    while (row := op.next()) is not None:
-        rows.append(row)
-    return rows
+    return drain_rows(op)
 
 
 class TestCheck:
@@ -93,8 +92,7 @@ class TestCheck:
         op = build_executor(plan, ctx)
         op.open()
         with pytest.raises(ReoptimizationSignal):
-            while op.next() is not None:
-                pass
+            drain_rows(op)
 
     def test_disabled_check_is_transparent(self):
         cat = make_catalog(100)
@@ -103,10 +101,7 @@ class TestCheck:
         ctx = ExecutionContext(cat, disabled_check_op_ids={plan.op_id})
         op = build_executor(plan, ctx)
         op.open()
-        count = 0
-        while op.next() is not None:
-            count += 1
-        assert count == 100
+        assert len(drain_rows(op)) == 100
 
     def test_event_logged_on_success_too(self):
         cat = make_catalog(10)

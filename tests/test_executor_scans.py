@@ -9,8 +9,10 @@ from repro.expr.expressions import ColumnRef, Literal, ParameterMarker
 from repro.expr.predicates import Between, Comparison
 from repro.plan.physical import IndexScan, MVScan, TableScan
 from repro.plan.properties import PlanProperties
-from repro.storage.catalog import Catalog
+from repro.storage.catalog import Catalog, TempMVRegistry
 from repro.storage.table import Schema
+
+from .conftest import drain_rows
 
 
 @pytest.fixture
@@ -33,12 +35,7 @@ def props(pred_ids=frozenset()):
 
 def drain(op):
     op.open()
-    rows = []
-    while True:
-        row = op.next()
-        if row is None:
-            return rows
-        rows.append(row)
+    return drain_rows(op)
 
 
 class TestTableScan:
@@ -127,15 +124,16 @@ class TestIndexScan:
         op = build_executor(plan, ctx)
         op.open()
         op.rebind(9)
-        assert op.next() == (9, "v0")
-        assert op.next() is None
+        assert op.next_batch(1) == [(9, "v0")]
+        assert op.next_batch(1) is None
         op.rebind(3)
-        assert op.next() == (3, "v0")
+        assert op.next_batch(1) == [(3, "v0")]
 
 
 class TestMVScan:
     def test_scan_with_residual(self, catalog):
-        mv = catalog.register_temp_mv(
+        mvs = TempMVRegistry()
+        mv = mvs.register(
             tables=frozenset({"t"}),
             predicate_ids=frozenset(),
             columns=("t.k", "t.v"),
@@ -143,5 +141,6 @@ class TestMVScan:
         )
         pred = Comparison(ColumnRef("t", "v"), "=", Literal("a"))
         plan = MVScan(mv.name, props(), layout(), 2, 1, filters=[pred])
-        rows = drain(build_executor(plan, ExecutionContext(catalog)))
+        ctx = ExecutionContext(catalog, temp_mvs=mvs)
+        rows = drain(build_executor(plan, ctx))
         assert rows == [(1, "a"), (3, "a")]

@@ -144,9 +144,10 @@ class TestRepeatedReoptimization:
         )
         first = star_db.execute(marker, params={"p": "COMMON"})
         assert first.report.reoptimizations >= 1
-        assert star_db.catalog.temp_mvs() == []
-        # Re-running with a different bind must not see stale rows.
+        # Re-running with a different bind must not see stale rows, nor
+        # start from the first statement's temp MVs.
         second = star_db.execute(marker, params={"p": "RARE"})
+        assert second.report.attempts[0].reused_mvs == []
         baseline = star_db.execute_without_pop(marker, params={"p": "RARE"})
         assert canonical(second.rows) == canonical(baseline.rows)
 

@@ -9,8 +9,10 @@ from repro.executor.runtime import build_executor
 from repro.expr.evaluate import RowLayout
 from repro.plan.physical import Check, Sort, TableScan, Temp, number_plan
 from repro.plan.properties import PlanProperties, ValidityRange
-from repro.storage.catalog import Catalog
+from repro.storage.catalog import Catalog, TempMVRegistry
 from repro.storage.table import Schema
+
+from .conftest import drain_rows
 
 
 def make_catalog(n=20):
@@ -34,8 +36,7 @@ def run_to_signal(plan, cat):
     op = build_executor(plan, ctx)
     try:
         op.open()
-        while op.next() is not None:
-            pass
+        drain_rows(op)
     except ReoptimizationSignal as signal:
         return ctx, signal
     raise AssertionError("expected a reoptimization signal")
@@ -46,10 +47,11 @@ class TestHarvest:
         cat = make_catalog(20)
         plan = Check(Temp(scan_plan(), 2.0), ValidityRange(0, 5), "LCEM")
         ctx, signal = run_to_signal(plan, cat)
+        mvs = TempMVRegistry()
         feedback = CardinalityFeedback()
-        names = harvest_execution_state(ctx, signal, feedback, cat, PopConfig())
+        names = harvest_execution_state(ctx, signal, feedback, mvs, PopConfig())
         assert len(names) == 1
-        mv = cat.temp_mv(names[0])
+        mv = mvs.get(names[0])
         assert mv.cardinality == 20
         assert mv.tables == frozenset({"t"})
 
@@ -59,16 +61,18 @@ class TestHarvest:
         sort = Sort(child, ("t.a",), child.properties.with_order(("t.a",)), 2.0)
         plan = Check(sort, ValidityRange(0, 5), "LC")
         ctx, signal = run_to_signal(plan, cat)
+        mvs = TempMVRegistry()
         feedback = CardinalityFeedback()
-        names = harvest_execution_state(ctx, signal, feedback, cat, PopConfig())
-        assert cat.temp_mv(names[0]).order == ("t.a",)
+        names = harvest_execution_state(ctx, signal, feedback, mvs, PopConfig())
+        assert mvs.get(names[0]).order == ("t.a",)
 
     def test_exact_feedback_from_signal(self):
         cat = make_catalog(20)
         plan = Check(Temp(scan_plan(), 2.0), ValidityRange(0, 5), "LCEM")
         ctx, signal = run_to_signal(plan, cat)
+        mvs = TempMVRegistry()
         feedback = CardinalityFeedback()
-        harvest_execution_state(ctx, signal, feedback, cat, PopConfig())
+        harvest_execution_state(ctx, signal, feedback, mvs, PopConfig())
         signature = plan.properties.signature
         entry = feedback.lookup(signature)
         assert entry is not None and entry.exact and entry.cardinality == 20
@@ -77,9 +81,10 @@ class TestHarvest:
         cat = make_catalog(100)
         plan = Check(scan_plan(), ValidityRange(0, 10), "ECDC")
         ctx, signal = run_to_signal(plan, cat)
+        mvs = TempMVRegistry()
         assert not signal.complete
         feedback = CardinalityFeedback()
-        harvest_execution_state(ctx, signal, feedback, cat, PopConfig())
+        harvest_execution_state(ctx, signal, feedback, mvs, PopConfig())
         entry = feedback.lookup(plan.properties.signature)
         assert entry is not None and not entry.exact
         assert entry.cardinality == 11
@@ -88,20 +93,22 @@ class TestHarvest:
         cat = make_catalog(20)
         plan = Check(Temp(scan_plan(), 2.0), ValidityRange(0, 5), "LCEM")
         ctx, signal = run_to_signal(plan, cat)
+        mvs = TempMVRegistry()
         names = harvest_execution_state(
-            ctx, signal, CardinalityFeedback(), cat, PopConfig(reuse_policy="never")
+            ctx, signal, CardinalityFeedback(), mvs, PopConfig(reuse_policy="never")
         )
         assert names == []
-        assert cat.temp_mvs() == []
+        assert list(mvs) == []
 
     def test_duplicate_signatures_not_registered_twice(self):
         cat = make_catalog(20)
         plan = Check(Temp(scan_plan(), 2.0), ValidityRange(0, 5), "LCEM")
         ctx, signal = run_to_signal(plan, cat)
-        harvest_execution_state(ctx, signal, CardinalityFeedback(), cat, PopConfig())
+        mvs = TempMVRegistry()
+        harvest_execution_state(ctx, signal, CardinalityFeedback(), mvs, PopConfig())
         # Harvest again (as a second reopt round would).
         names = harvest_execution_state(
-            ctx, signal, CardinalityFeedback(), cat, PopConfig()
+            ctx, signal, CardinalityFeedback(), mvs, PopConfig()
         )
         assert names == []
-        assert len(cat.temp_mvs()) == 1
+        assert len(mvs) == 1

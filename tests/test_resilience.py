@@ -194,6 +194,24 @@ class TestRetry:
         assert failed.failure_class == TRANSIENT
         assert "injected transient" in failed.failure
 
+    @pytest.mark.parametrize("width", [1, 64, 1024])
+    def test_iterator_fault_fires_once_at_every_width(self, star_db, width):
+        """The injector counts row pulls, not ``next_batch`` calls, so a
+        fixed ``trigger_at`` fires exactly once at every batch width and
+        the statement is retried to the oracle's rows."""
+        oracle = oracle_rows(star_db, JOIN_SQL)
+        plan = FaultPlan(specs=[FaultSpec("iterator", trigger_at=40)])
+        result = star_db.execute(
+            JOIN_SQL,
+            pop=PopConfig(batch_size=width, resilience=ResiliencePolicy()),
+            faults=plan,
+        )
+        assert canonical(result.rows) == oracle
+        assert result.report.faults_injected == 1
+        assert result.report.retries == 1
+        assert not result.report.fallback_used
+        assert result.report.attempts[0].failure_class == TRANSIENT
+
     def test_backoff_charged_to_meter(self, star_db):
         policy = ResiliencePolicy(backoff_base_units=123.0)
         meter = WorkMeter(track_categories=True)
@@ -304,6 +322,39 @@ class TestFallback:
         )
         star_db.execute(JOIN_SQL, pop=guarded(max_retries=0), faults=plan)
         assert star_db.optimizer.options.enable_index_nljn == before
+
+    def test_fallback_passes_robust_options_per_call(self, star_db, monkeypatch):
+        """The safe plan's robust join set is an argument of its optimize
+        call; the Database-wide options are never written, so concurrent
+        statements keep optimizing with their own options."""
+        from dataclasses import replace
+
+        from repro.optimizer.optimizer import Optimizer
+
+        shared = star_db.optimizer.options
+        snapshot = replace(shared)
+        calls = []
+        original = Optimizer.optimize
+
+        def spy(self, query, *args, options=None, **kwargs):
+            assert self.options is shared and shared == snapshot
+            calls.append(options)
+            return original(self, query, *args, options=options, **kwargs)
+
+        monkeypatch.setattr(Optimizer, "optimize", spy)
+        plan = FaultPlan(
+            specs=[FaultSpec("iterator", trigger_at=3, times=1000)]
+        )
+        result = star_db.execute(
+            JOIN_SQL, pop=guarded(max_retries=0), faults=plan
+        )
+        assert result.report.fallback_used
+        assert all(options is not None for options in calls)
+        robust = calls[-1]
+        assert not robust.enable_index_nljn and not robust.enable_rescan_nljn
+        assert robust.enable_hash_join and robust.enable_merge_join
+        assert not robust.consider_mvs and not robust.mv_cost_zero
+        assert star_db.optimizer.options is shared and shared == snapshot
 
     def test_deadline_timeout_falls_back(self, star_db):
         oracle = oracle_rows(star_db, JOIN_SQL)
@@ -469,7 +520,7 @@ class Operator:
         pass
     def close(self):
         pass
-    def next(self):
+    def next_batch(self, max_rows):
         raise NotImplementedError
 """
 
@@ -488,7 +539,7 @@ class Leaky(Operator):
     def close(self):
         super().close()
         self._table.clear()
-    def next(self):
+    def next_batch(self, max_rows):
         return None
 """
         )
@@ -508,7 +559,7 @@ class Tidy(Operator):
         self._table = {}
         if self._table:
             pass
-    def next(self):
+    def next_batch(self, max_rows):
         return None
 """
         )
@@ -526,7 +577,7 @@ class Spanner(Operator):
     def close(self):
         super().close()
         self.end_span()
-    def next(self):
+    def next_batch(self, max_rows):
         return None
 """
         )

@@ -44,17 +44,19 @@ def serve(db, **overrides):
 
 @pytest.fixture
 def stalled_scans(monkeypatch):
-    """Make every table scan sleep 1ms per row, so full scans take
-    seconds — long enough that kills/sheds/drains land mid-query."""
+    """Make every table scan sleep 1ms per row pulled, so full scans take
+    seconds — long enough that kills/sheds/drains land mid-query.  Scan
+    requests are capped at 16 rows so cancel polls stay ~16 ms apart."""
     from repro.executor.scans import TableScanExec
 
-    original = TableScanExec.next
+    original = TableScanExec.next_batch
 
-    def stalled(self):
-        time.sleep(0.001)
-        return original(self)
+    def stalled(self, max_rows):
+        batch = original(self, min(max_rows, 16))
+        time.sleep(0.001 * len(batch or ()))
+        return batch
 
-    monkeypatch.setattr(TableScanExec, "next", stalled)
+    monkeypatch.setattr(TableScanExec, "next_batch", stalled)
 
 
 # ----------------------------------------------------------------- protocol

@@ -26,6 +26,8 @@ from repro.storage.catalog import Catalog
 from repro.storage.spill import BATCH_ROWS, SpillManager
 from repro.storage.table import Schema
 
+from .conftest import drain_rows
+
 
 def make_catalog(rows):
     cat = Catalog()
@@ -45,10 +47,7 @@ def scan_plan(est_card=10):
 
 def drain(op):
     op.open()
-    rows = []
-    while (row := op.next()) is not None:
-        rows.append(row)
-    return rows
+    return drain_rows(op)
 
 
 def spill_policy(**overrides):
@@ -280,10 +279,7 @@ class TestSpillingTemp:
         assert op.materialized_rows is None
         for _ in range(2):  # NLJN-rescan usage pattern
             op.reset()
-            again = []
-            while (row := op.next()) is not None:
-                again.append(row)
-            assert again == rows
+            assert drain_rows(op) == rows
         ctx.release_spill()
 
 
@@ -410,9 +406,9 @@ class TestSpillLifecycle:
 
 
 class TestBatchModeDegradedParity:
-    """Spilling operators driven through ``next_batch`` must produce the
-    same rows *and* the same metered spill I/O as the row-mode degraded
-    paths — batch writes reuse the identical flush boundaries
+    """Spilling operators must produce the same rows *and* the same metered
+    spill I/O at every width as at width 1 (one row per ``next_batch``) —
+    batch writes reuse the identical flush boundaries
     (``SpillFile.append_batch``), so the charge streams line up exactly."""
 
     BATCH_SIZES = [1, 7, 64, 1024]
@@ -422,13 +418,13 @@ class TestBatchModeDegradedParity:
         cat = make_catalog([((i * 131) % 900, f"v{i}") for i in range(900)])
         child = scan_plan(900)
         plan = Sort(child, ("t.a",), child.properties.with_order(("t.a",)), 5)
-        row_ctx = squeezed_ctx(cat, 1 / 64.0)
-        expect = run_plan(plan, row_ctx)
+        ref_ctx = squeezed_ctx(cat, 1 / 64.0, batch_size=1)
+        expect = run_plan(plan, ref_ctx)
         batch_ctx = squeezed_ctx(cat, 1 / 64.0, batch_size=batch_size)
         got = run_plan(plan, batch_ctx)
         assert got == expect  # exact order through the k-way merge
         assert batch_ctx.meter.by_category()["spill"] == pytest.approx(
-            row_ctx.meter.by_category()["spill"]
+            ref_ctx.meter.by_category()["spill"]
         )
 
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
@@ -436,25 +432,25 @@ class TestBatchModeDegradedParity:
         rows = [(i, f"v{i}") for i in range(700)]
         cat = make_catalog(rows)
         plan = Temp(scan_plan(700), 5)
-        row_ctx = squeezed_ctx(cat, 1 / 64.0)
-        expect = run_plan(plan, row_ctx)
+        ref_ctx = squeezed_ctx(cat, 1 / 64.0, batch_size=1)
+        expect = run_plan(plan, ref_ctx)
         batch_ctx = squeezed_ctx(cat, 1 / 64.0, batch_size=batch_size)
         got = run_plan(plan, batch_ctx)
         assert got == expect == rows
         assert batch_ctx.meter.by_category()["spill"] == pytest.approx(
-            row_ctx.meter.by_category()["spill"]
+            ref_ctx.meter.by_category()["spill"]
         )
 
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
     def test_grace_hash_join_parity(self, batch_size):
         cat = join_catalog()
         plan = join_plan()
-        row_ctx = squeezed_ctx(cat, 1 / 64.0)
-        expect = run_plan(plan, row_ctx)
+        ref_ctx = squeezed_ctx(cat, 1 / 64.0, batch_size=1)
+        expect = run_plan(plan, ref_ctx)
         batch_ctx = squeezed_ctx(cat, 1 / 64.0, batch_size=batch_size)
         got = run_plan(plan, batch_ctx)
         assert got == expect  # identical partition visit order, too
         assert batch_ctx.meter.by_category()["spill"] == pytest.approx(
-            row_ctx.meter.by_category()["spill"]
+            ref_ctx.meter.by_category()["spill"]
         )
-        assert batch_ctx.meter.units == pytest.approx(row_ctx.meter.units)
+        assert batch_ctx.meter.units == pytest.approx(ref_ctx.meter.units)
