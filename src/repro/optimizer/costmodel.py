@@ -4,8 +4,8 @@ Costs are unit-less "timerons": a weighted sum of modeled page I/Os and
 per-row CPU work.  Two design constraints come straight from the paper:
 
 1. **Costs are explicit functions of input cardinalities.**  Validity-range
-   computation (§2.2) re-evaluates operator costs at perturbed input
-   cardinalities while pruning, so every join method exposes a
+   computation (§2.2) re-evaluates the costs of pruned alternatives at
+   perturbed input cardinalities, so every join method exposes a
    ``*_cost(outer_card, inner_card, ...)`` function rather than baking
    cardinalities in.
 2. **Costs are piecewise and non-smooth.**  The paper motivates numerical

@@ -7,12 +7,17 @@ enabled join methods, plus MV-scan candidates when a temporary materialized
 view from a previous partial execution matches the subset (paper §2.3: reuse
 is a cost-based *choice*, never forced).
 
-Validity-range narrowing (paper §2.2) is woven into pruning: whenever two
-*structurally equivalent* candidates — same pair of input-edge row sets,
-commutations included — are compared, the cheaper one's per-edge validity
-ranges are narrowed with the Fig. 5 sensitivity probe against the loser's
-cost function.  Join-order changes never narrow ranges, exactly as the paper
-prescribes (the conservatism that avoids guessing unobservable
+Validity ranges (paper §2.2) come from pruning in two steps.  While pruning,
+each kept join winner records its *structurally equivalent* alternatives
+that are not cheaper — same pair of input-edge row sets, commutations
+included — keeping only their edge identities and cost functions.  Once DP
+has chosen the final plan, the join nodes of that plan alone are narrowed
+with the Fig. 5 sensitivity probe against their recorded alternatives.
+Only the chosen plan's ranges are ever read (CHECK placement, the plan
+cache, lint, explain), and ``ValidityRange`` narrowing is a plain min/max,
+so the ranges equal those of narrowing every winner inside pruning, at a
+fraction of the probes.  Join-order changes never narrow ranges, exactly as
+the paper prescribes (the conservatism that avoids guessing unobservable
 correlations).
 """
 
@@ -20,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from repro.common.errors import OptimizerError
 from repro.expr.evaluate import RowLayout
@@ -102,6 +107,13 @@ class Candidate:
     cost_fn: Optional[Callable[[float, float], float]] = None
 
 
+class PrunedAlternative(NamedTuple):
+    """What narrowing needs of a pruned join alternative (never its plan)."""
+
+    edge_subsets: tuple
+    cost_fn: Callable[[float, float], float]
+
+
 def order_satisfies(provided: tuple, required: tuple) -> bool:
     """True when ``provided`` output order covers ``required`` as a prefix."""
     return provided[: len(required)] == tuple(required)
@@ -132,6 +144,9 @@ class PlanEnumerator:
         #: Total Fig. 5 Newton–Raphson iterations spent narrowing validity
         #: ranges (observability: the sensitivity analysis's share of work).
         self.newton_iterations = 0
+        #: Kept join winner's plan -> (winner, its pruned structurally
+        #: equivalent alternatives); narrowed on the chosen plan only.
+        self._pruned: dict[PlanOp, tuple[Candidate, list[PrunedAlternative]]] = {}
         self._allow_cross = not self.graph.fully_connected
         #: Hash-join cost multiplier under estimate uncertainty (§7).
         self._hash_penalty = 1.0
@@ -463,12 +478,14 @@ class PlanEnumerator:
     # =============================================================== pruning
 
     def _keep_best(self, candidates: list[Candidate], subset: frozenset) -> list[Candidate]:
-        """Dominance-prune a subset's candidates and narrow validity ranges.
+        """Dominance-prune a subset's candidates and record pruned alternatives.
 
         A candidate is kept when no cheaper candidate provides (a prefix of)
-        its output order.  For every kept *join* candidate, its per-edge
-        validity ranges are narrowed against each more expensive structurally
-        equivalent alternative (same pair of input-edge subsets).
+        its output order.  For every kept *join* candidate, each structurally
+        equivalent alternative (same pair of input-edge subsets, commutations
+        included) that is not cheaper is recorded; :meth:`run` narrows the
+        winner's per-edge validity ranges against them only if the winner
+        ends up in the chosen plan.
         """
         if not candidates:
             return []
@@ -486,17 +503,36 @@ class PlanEnumerator:
 
         if self.options.compute_validity_ranges:
             for winner in kept:
-                if winner.cost_fn is None or winner.edge_subsets is None:
+                edges = winner.edge_subsets
+                if winner.cost_fn is None or edges is None:
                     continue
-                for alt in candidates:
-                    if alt is winner or alt.cost_fn is None:
-                        continue
-                    if alt.cost < winner.cost:
-                        continue
-                    self._narrow_against(winner, alt)
+                commuted = (edges[1], edges[0])
+                alts = [
+                    PrunedAlternative(alt.edge_subsets, alt.cost_fn)
+                    for alt in candidates
+                    if alt is not winner
+                    and alt.cost >= winner.cost
+                    and (alt.edge_subsets == edges or alt.edge_subsets == commuted)
+                ]
+                if alts:
+                    self._pruned[winner.plan] = (winner, alts)
         return kept
 
-    def _narrow_against(self, winner: Candidate, alt: Candidate) -> None:
+    def _narrow_chosen_plan(self, plan: PlanOp) -> None:
+        """Narrow the validity ranges of ``plan``'s join nodes against their
+        recorded pruned alternatives, then drop the record."""
+        pruned, self._pruned = self._pruned, {}
+        for op in plan.walk():
+            entry = pruned.pop(op, None)
+            if entry is None:
+                continue
+            winner, alts = entry
+            for alt in alts:
+                self._narrow_against(winner, alt)
+
+    def _narrow_against(
+        self, winner: Candidate, alt: Candidate | PrunedAlternative
+    ) -> None:
         """Narrow ``winner``'s edge validity ranges using pruned ``alt``."""
         w_edges = winner.edge_subsets
         a_edges = alt.edge_subsets
@@ -604,6 +640,7 @@ class PlanEnumerator:
 
         full = frozenset(aliases)
         best = min(table[full], key=lambda c: c.cost)
+        self._narrow_chosen_plan(best.plan)
         return self._finalize(best)
 
     # ============================================================ finalization

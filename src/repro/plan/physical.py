@@ -2,10 +2,10 @@
 
 The optimizer produces a tree of :class:`PlanOp` nodes annotated with
 estimated cardinalities, estimated (cumulative) costs, output layouts, and —
-on join operators — per-input-edge :class:`ValidityRange` objects computed
-during pruning.  The executor (:mod:`repro.executor`) interprets the tree;
-POP's placement pass (:mod:`repro.core.placement`) rewrites it by inserting
-CHECK operators.
+on join operators — per-input-edge :class:`ValidityRange` objects narrowed
+against the alternatives pruned in their favour.  The executor
+(:mod:`repro.executor`) interprets the tree; POP's placement pass
+(:mod:`repro.core.placement`) rewrites it by inserting CHECK operators.
 
 Plan nodes are created once by the optimizer and treated as immutable by the
 executor, except for the annotation fields POP owns (validity ranges and
@@ -45,7 +45,8 @@ class PlanOp:
         self.layout = layout
         self.est_card = float(est_card)
         self.est_cost = float(est_cost)
-        #: One validity range per input edge, narrowed during pruning.
+        #: One validity range per input edge, narrowed against pruned
+        #: alternatives once the optimizer has chosen the plan.
         self.validity_ranges = [ValidityRange() for _ in self.children]
         #: Stable preorder number, assigned by :func:`number_plan`.
         self.op_id: Optional[int] = None

@@ -1,7 +1,9 @@
 """Tests for the DP plan enumerator: access paths, join methods, interesting
-orders, MV reuse candidates, and validity-range narrowing during pruning."""
+orders, MV reuse candidates, and validity-range narrowing."""
 
 
+from repro.executor.base import ExecutionContext
+from repro.executor.runtime import run_plan
 from repro.expr.expressions import ColumnRef, Literal, ParameterMarker
 from repro.expr.predicates import Comparison, JoinPredicate, predicate_set_id
 from repro.optimizer.enumeration import OptimizerOptions, order_satisfies
@@ -192,13 +194,17 @@ class TestMVCandidates:
         plan = star_db.optimizer.optimize(query, temp_mvs=mvs).plan
         mv_scans = find_ops(plan, MVScan)
         assert mv_scans and mv_scans[0].filters  # residual applied on scan
-        result = star_db.execute_without_pop(query)
-        expected = sum(1 for r in rows if r[2] == 3)
+        # Run the MV-scan plan itself, reading the registered MV rows.
+        mv_rows = run_plan(plan, ExecutionContext(star_db.catalog, temp_mvs=mvs))
+        static = star_db.execute_without_pop(query)
         joined = sum(
             1
             for row in star_db.catalog.table("orders").rows
             if any(r[0] == row[1] and r[2] == 3 for r in rows)
         )
+        assert joined > 0
+        assert sorted(mv_rows) == sorted(static.rows)
+        assert len(mv_rows) == joined
 
     def test_mvs_ignored_when_disabled(self, star_db):
         query = two_table_query(
